@@ -21,11 +21,13 @@
 //!    planner spike.
 //!
 //! `--smoke` shrinks the dataset and repeat counts to CI scale; it
-//! still writes the JSON artifact and exits nonzero on non-finite
+//! writes the JSON artifact to `target/bench-smoke/` instead of the
+//! repository root and exits nonzero on non-finite
 //! measurements or a measured pass that never hit the diagram.
 
 use std::time::Instant;
 
+use ssq_bench::write_bench_json;
 use ssq_core::QueryKey;
 use ssq_engine::{DiagramConfig, Engine, EngineConfig, QueryRequest, ServedBy};
 use ssq_geom::{Point, Rect};
@@ -246,8 +248,7 @@ fn main() {
         eprintln!("# FATAL: non-finite measurement in diagram bench");
         std::process::exit(1);
     }
-    std::fs::write("BENCH_DIAGRAM.json", report.json()).expect("write BENCH_DIAGRAM.json");
-    println!("# wrote BENCH_DIAGRAM.json");
+    write_bench_json("BENCH_DIAGRAM.json", smoke, &report.json());
     if report.diagram_p99_us >= report.planner_p99_us {
         println!("# WARNING: diagram hit path did not beat the planner p99 on this run");
     }

@@ -23,9 +23,10 @@
 //!    stop-the-world index rebuild would show up.
 //!
 //! Exits nonzero on any ingest error, non-finite measurement, zero
-//! throughput, or a publish speedup below 10×.
+//! throughput, or a publish speedup below 10×. `--smoke` writes its
+//! record to `target/bench-smoke/BENCH_INGEST.json`.
 
-use ssq_bench::{uniform_query_sets, Fixture};
+use ssq_bench::{uniform_query_sets, write_bench_json, Fixture};
 use ssq_core::UpdateBatch;
 use ssq_engine::{Engine, EngineConfig, QueryRequest, Snapshot};
 use ssq_geom::{Point, Rect};
@@ -371,8 +372,7 @@ fn main() {
     }
 
     let json = ingest_json(&cost, &soak);
-    std::fs::write("BENCH_INGEST.json", &json).expect("write BENCH_INGEST.json");
-    println!("# wrote BENCH_INGEST.json");
+    write_bench_json("BENCH_INGEST.json", smoke, &json);
 
     if cost.speedup < 10.0 {
         eprintln!(

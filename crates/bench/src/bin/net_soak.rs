@@ -12,10 +12,11 @@
 //! per-frame latency. The whole run is written to `BENCH_net.json`.
 //!
 //! `--smoke` shrinks the dataset and the grid but keeps the acceptance
-//! cell (8 connections × 16 pipeline) — the CI gate. Exits nonzero on
+//! cell (8 connections × 16 pipeline) — the CI gate — and writes its
+//! record to `target/bench-smoke/BENCH_net.json`. Exits nonzero on
 //! any driver error, server error frame, or non-finite measurement.
 
-use ssq_bench::{uniform_query_sets, Fixture};
+use ssq_bench::{uniform_query_sets, write_bench_json, Fixture};
 use ssq_engine::{Engine, EngineConfig};
 use ssq_net::{Client, Frame, Server, ServerConfig};
 use std::sync::Arc;
@@ -231,8 +232,7 @@ fn main() {
 
     let metrics = server.shutdown();
     let json = net_json(fix.points.len(), &rows, &metrics.net);
-    std::fs::write("BENCH_net.json", &json).expect("write BENCH_net.json");
-    println!("# wrote BENCH_net.json");
+    write_bench_json("BENCH_net.json", smoke, &json);
     println!(
         "# server totals: accepted={} shed_req={} bytes_in={} bytes_out={} frame_errors={}",
         metrics.net.accepted,

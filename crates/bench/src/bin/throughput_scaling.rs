@@ -27,13 +27,14 @@
 //!    up in p99/max where the live swap stays flat.
 //!
 //! `--smoke` runs only the hot-path section on a tiny dataset — the CI
-//! gate: it still writes `BENCH_hotpath.json` and exits nonzero if any
-//! measurement comes back non-finite.
+//! gate: it writes `target/bench-smoke/BENCH_hotpath.json` (never the
+//! committed root file) and exits nonzero if any measurement comes back
+//! non-finite.
 
 use ssq_bench::{
     corner_query_sets, dist_per_sec_of, hotpath_json, mean_allocs, mean_qps, mean_simd_qps,
     run_hotpath, run_sharded_throughput, run_throughput, sharded_scaling, swap_comparison,
-    throughput_scaling, uniform_query_sets, validate_rows, Fixture, HotpathRow,
+    throughput_scaling, uniform_query_sets, validate_rows, write_bench_json, Fixture, HotpathRow,
 };
 
 fn print_sharded(rows: &[ssq_bench::ShardedThroughputRow]) {
@@ -80,7 +81,7 @@ fn print_hotpath(rows: &[HotpathRow]) {
 
 /// Runs the scalar-vs-kernel microbench, prints it, writes the JSON
 /// artifact, and dies loudly on non-finite measurements.
-fn hotpath_section(fix: &Fixture, distinct: usize, repeats: usize, seed: u64) {
+fn hotpath_section(fix: &Fixture, distinct: usize, repeats: usize, seed: u64, smoke: bool) {
     let sets = uniform_query_sets(&fix.points, distinct.clamp(4, 16), 5, seed);
     let rows = run_hotpath(fix, &sets, repeats);
     if let Err(e) = validate_rows(&rows) {
@@ -98,8 +99,7 @@ fn hotpath_section(fix: &Fixture, distinct: usize, repeats: usize, seed: u64) {
     );
     println!("# mean q/s: scalar {sq:.0} vs kernel {kq:.0} vs simd {simd_q:.0}");
     let json = hotpath_json(fix.points.len(), &rows);
-    std::fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
-    println!("# wrote BENCH_hotpath.json");
+    write_bench_json("BENCH_hotpath.json", smoke, &json);
     if ka * 2.0 > sa {
         println!("# WARNING: kernel path is not 2x below scalar on allocations/query");
     }
@@ -132,10 +132,11 @@ fn main() {
     if smoke {
         // CI gate: tiny dataset, hot-path section only. Any panic or
         // non-finite number exits nonzero; otherwise the JSON artifact
-        // is refreshed and the run is quick enough for every CI pass.
+        // is written under target/ and the run is quick enough for every
+        // CI pass.
         println!("# kernel hot path (smoke: 400 points)");
         let fix = Fixture::usgs(400, 42);
-        hotpath_section(&fix, 6, 2, 42);
+        hotpath_section(&fix, 6, 2, 42, true);
         return;
     }
 
@@ -151,7 +152,7 @@ fn main() {
 
     println!();
     println!("# kernel hot path (scalar vs scratch-arena kernels)");
-    hotpath_section(&fix, distinct, 4, 42);
+    hotpath_section(&fix, distinct, 4, 42, false);
 
     println!();
     let rows = throughput_scaling(&fix.points, &ladder, requests, distinct, 0, 42);

@@ -20,6 +20,7 @@ pub use hotpath::{
     validate_rows, HotpathRow, MIN_HOTPATH_SAMPLES,
 };
 
+use std::path::PathBuf;
 use std::time::Instant;
 
 use ssq_core::mixed::{mixed_b2s2, mixed_naive, mixed_vs2, MixedContext};
@@ -31,6 +32,25 @@ use ssq_workload::motion::{MotionConfig, MovingQuerySet};
 use ssq_workload::queries::{random_query_set, QueryConfig};
 use ssq_workload::rng::Xoshiro256;
 use ssq_workload::usgs::{synthetic_usgs, UsgsConfig, CATEGORY_MIX};
+
+/// Directory, relative to the repository root, that `--smoke` runs of
+/// the bench binaries write their JSON artifacts to.
+pub const SMOKE_DIR: &str = "target/bench-smoke";
+
+/// Writes a bench binary's `BENCH_*.json` artifact `name` — to the
+/// working directory for a full run, to [`SMOKE_DIR`] (created on demand)
+/// for a `--smoke` run, so CI smoke passes never overwrite the committed
+/// full-scale files — and reports where it went.
+pub fn write_bench_json(name: &str, smoke: bool, json: &str) {
+    let path = if smoke {
+        std::fs::create_dir_all(SMOKE_DIR).expect("create the smoke artifact directory");
+        PathBuf::from(SMOKE_DIR).join(name)
+    } else {
+        PathBuf::from(name)
+    };
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("# wrote {}", path.display());
+}
 
 /// Which algorithm a measurement row belongss to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -31,6 +31,24 @@
 //! low-`mindist` point can hide behind higher-`mindist` cells on the
 //! graph). Neither policy ever produces a point outside the true skyline
 //! after this pass; `Paper` may miss points, `Safe` provably does not.
+//!
+//! # In-loop pruning
+//!
+//! Scalar [`vs2`] in Safe mode collects every popped point inside `B` and
+//! leaves all dominance work to the final pass. [`vs2_kernel`] also drops
+//! a popped point on the spot when a point it already kept dominates it
+//! (points inside `CH(Q)` are kept unchecked, Theorem 1). That is sound
+//! by transitivity — anything the dropped point dominates, its dominator
+//! dominates too — and keeps the candidate set, and so the in-loop and
+//! final dominance work, near the skyline's size instead of growing with
+//! every point the traversal visits. The final pass stays: a kept row can
+//! still be dominated by a point popped later. `B` evolves exactly as
+//! before (a dropped point's box contains its kept dominator's), so the
+//! traversal and its `points_examined` are unchanged.
+//!
+//! Serving does not plan VS² (B²S² examines fewer points in memory; see
+//! the engine's planner); this kernel runs when a request, the engine
+//! config or `--algorithm vs2` forces it.
 
 use ssq_geom::circle::search_region_mbr;
 use ssq_geom::kernel;
@@ -62,8 +80,11 @@ pub fn vs2(index: &VoronoiIndex, ctx: &QueryContext) -> SkylineResult {
 /// the heap by the **squared**-distance sum (no `sqrt` anywhere on the
 /// traversal — sound because any monotone-under-dominance key yields the
 /// same resolved skyline, see [`ssq_geom::kernel`]), and stores candidate
-/// vectors as squared-distance rows. Steady-state queries allocate only
-/// for the returned id vector.
+/// vectors as squared-distance rows. Unlike scalar Safe mode it prunes
+/// inside the loop: each popped row is tested against the rows kept so
+/// far and dropped when dominated, so the final `resolve` only has to
+/// remove the rows whose dominator was discovered later. Steady-state
+/// queries allocate only for the returned id vector.
 pub fn vs2_kernel(
     index: &VoronoiIndex,
     ctx: &QueryContext,
@@ -88,17 +109,26 @@ pub fn vs2_kernel(
 
     while let Some((_, &p)) = heap.peek() {
         if extracted[p as usize] {
-            // Second phase: pop, collect the survivor as an arena row and
-            // tighten B (Safe policy — see `vs2_with` for the comments).
+            // Second phase: pop, keep the survivor as an arena row unless
+            // a kept row dominates it, and tighten B (Safe policy — see
+            // `vs2_with` for the comments).
             heap.pop();
             let pt = index.point(p);
             if !b.contains(pt) {
                 continue;
             }
             stats.points_examined += 1;
-            scratch.push_row(p, ctx.hull().contains(pt), pt, anchors);
+            let certain = ctx.hull().contains(pt);
+            // Stage the row and retract it when a kept row dominates it,
+            // as `b2s2_kernel` does (sound, and `B` unchanged: see the
+            // module docs, "In-loop pruning").
+            scratch.push_row(p, certain, pt, anchors);
             stats.distance_computations += anchors.len() as u64;
-            b = b.intersection(&search_region_mbr(pt, anchors));
+            if certain || !scratch.last_dominated(&mut stats) {
+                b = b.intersection(&search_region_mbr(pt, anchors));
+            } else {
+                scratch.pop_row();
+            }
         } else {
             // First phase: extract, enqueue the Voronoi neighbours.
             extracted[p as usize] = true;

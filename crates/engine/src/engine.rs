@@ -1514,9 +1514,7 @@ fn try_diagram(
             Some(QueryResponse {
                 skyline,
                 generation,
-                algorithm: shared
-                    .planner
-                    .choose_for_anchors(snapshot.len(), request.query.len()),
+                algorithm: shared.planner.choose_for_len(snapshot.len()),
                 served_by: ServedBy::Diagram,
                 latency,
                 stats: QueryStats::default(),
@@ -1688,7 +1686,7 @@ mod tests {
         let want = naive_full(&data, &QueryContext::new(&q)).skyline;
         let got = engine.submit(QueryRequest::new(q)).wait();
         assert_eq!(got.skyline, want);
-        assert_eq!(got.algorithm, Algorithm::Vs2, "300 points, proper hull");
+        assert_eq!(got.algorithm, Algorithm::B2s2, "300 points");
         assert!(!got.cache_hit());
     }
 

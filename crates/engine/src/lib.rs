@@ -25,9 +25,9 @@
 //!   the skyline depends only on those vertices, so permuting `Q` or
 //!   adding interior query points hits the same entry; entries of
 //!   retired generations die by normal LRU eviction, never a flush.
-//! * **Adaptive planner** ([`planner`]) — picks naive vs B²S² vs VS²
-//!   from `|P|` and the shape of `CH(Q)`, with a forced-algorithm
-//!   override for experiments.
+//! * **Planner** ([`planner`]) — a measured rule: the sorted naive scan
+//!   below 64 points, B²S² otherwise, with a forced-algorithm override
+//!   (the only way a request reaches BBS or VS²).
 //! * **Skyline diagram** (optional; [`ssq_diagram`], wired in by
 //!   [`EngineConfig::with_diagram`]) — materialized skyline cells probed
 //!   *before* the cache: hot, low-anchor-count query shapes are answered

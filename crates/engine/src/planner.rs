@@ -1,22 +1,29 @@
-//! The adaptive planner: which algorithm should serve this query?
+//! The planner: which algorithm should serve this query?
 //!
-//! The paper's experiments (§7) rank the algorithms by regime, and the
-//! planner encodes that ranking as a small decision tree:
+//! The rule is measured, not the paper's ranking:
 //!
-//! * **Tiny datasets** — index traversal overhead dominates; a sorted
-//!   scan ([`naive_sorted`](ssq_core::naive_sorted)) wins outright below
-//!   a cutoff (default 64 points).
-//! * **Degenerate hulls** — when `CH(Q)` collapses to a point or segment
-//!   (≤ 2 anchors), VS²'s visible-region machinery degenerates while
-//!   B²S²'s mindist pruning is unaffected, so B²S² is preferred.
-//! * **Everything else** — VS² is the paper's overall winner (Fig. 12):
-//!   it visits a neighborhood of `CH(Q)` instead of descending from the
-//!   R-tree root.
+//! * **Tiny datasets** (`|P| <` [`Planner::DEFAULT_NAIVE_CUTOFF`]) — index
+//!   traversal overhead dominates; a sorted scan
+//!   ([`naive_sorted_kernel`](ssq_core::naive_sorted_kernel)) wins
+//!   outright.
+//! * **Everything else** — B²S²
+//!   ([`b2s2_kernel`](ssq_core::b2s2_kernel)), whatever the hull's shape.
+//!
+//! The paper ranks VS² first for proper hulls (Fig. 12), but it counts disk
+//! page accesses and 2006 CPU time. In memory the cost is the points a
+//! traversal examines, and the exact (Safe-expansion) VS² that serving
+//! needs examines about twice the points B²S² does over the Fig. 12 sweep
+//! (up to 4× on the 0.7% cells). On 100k USGS-like points B²S² answers
+//! the sweep in a mean ~650 µs against VS²'s ~1.9 ms, within 0.5% of
+//! choosing the faster kernel per query with hindsight (EXPERIMENTS.md,
+//! "Serving stack"). The `planner_rule` integration test pins that reason
+//! as a counter.
 //!
 //! A forced algorithm (engine-wide via
 //! [`EngineConfig`](crate::EngineConfig), or per request via
-//! [`QueryRequest`](crate::QueryRequest)) bypasses the heuristic — that
-//! is what lets benchmarks compare plans on identical workloads.
+//! [`QueryRequest`](crate::QueryRequest)) bypasses the rule — that is what
+//! keeps VS² servable and lets benchmarks compare plans on identical
+//! workloads.
 
 use ssq_core::QueryContext;
 
@@ -85,7 +92,7 @@ impl std::str::FromStr for Algorithm {
     }
 }
 
-/// Chooses the algorithm for each query from dataset size and hull shape.
+/// Chooses the algorithm for each query from the dataset size.
 #[derive(Clone, Copy, Debug)]
 pub struct Planner {
     force: Option<Algorithm>,
@@ -96,7 +103,8 @@ impl Planner {
     /// Default `|P|` below which the sorted naive scan is chosen.
     pub const DEFAULT_NAIVE_CUTOFF: usize = 64;
 
-    /// An adaptive planner; `force` pins every choice to one algorithm.
+    /// A planner following the module's rule; `force` pins every choice
+    /// to one algorithm.
     pub fn new(force: Option<Algorithm>) -> Planner {
         Planner {
             force,
@@ -115,23 +123,19 @@ impl Planner {
         self.force
     }
 
-    /// Picks the algorithm for a query over `data_len` points.
-    pub fn choose(&self, data_len: usize, ctx: &QueryContext) -> Algorithm {
-        self.choose_for_anchors(data_len, ctx.anchors().len())
+    /// Picks the algorithm for a query over `data_len` points. The rule
+    /// reads only the dataset size, so the context is not consulted.
+    pub fn choose(&self, data_len: usize, _ctx: &QueryContext) -> Algorithm {
+        self.choose_for_len(data_len)
     }
 
-    /// [`choose`](Self::choose) given only the anchor count — used by the
-    /// diagram hit path, which never materializes a [`QueryContext`].
-    pub fn choose_for_anchors(&self, data_len: usize, anchors: usize) -> Algorithm {
-        if let Some(forced) = self.force {
-            return forced;
-        }
-        if data_len < self.naive_cutoff {
-            Algorithm::Naive
-        } else if anchors <= 2 {
-            Algorithm::B2s2
-        } else {
-            Algorithm::Vs2
+    /// [`choose`](Self::choose) without a context — used by the diagram
+    /// hit path, which never materializes a [`QueryContext`].
+    pub fn choose_for_len(&self, data_len: usize) -> Algorithm {
+        match self.force {
+            Some(forced) => forced,
+            None if data_len < self.naive_cutoff => Algorithm::Naive,
+            None => Algorithm::B2s2,
         }
     }
 }
@@ -152,26 +156,27 @@ mod tests {
         let c = ctx(&[(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)]);
         assert_eq!(planner.choose(10, &c), Algorithm::Naive);
         assert_eq!(planner.choose(63, &c), Algorithm::Naive);
-        assert_eq!(planner.choose(64, &c), Algorithm::Vs2);
+        assert_eq!(planner.choose(64, &c), Algorithm::B2s2);
+        let planner = planner.with_naive_cutoff(1000);
+        assert_eq!(planner.choose(999, &c), Algorithm::Naive);
+        assert_eq!(planner.choose_for_len(1000), Algorithm::B2s2);
     }
 
     #[test]
-    fn degenerate_hulls_use_the_rtree() {
+    fn every_hull_shape_uses_b2s2() {
         let planner = Planner::new(None);
-        // Collinear query points: the hull is a segment, 2 anchors.
-        let segment = ctx(&[(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]);
-        assert_eq!(segment.anchors().len(), 2);
-        assert_eq!(planner.choose(10_000, &segment), Algorithm::B2s2);
-        // A single query point.
-        let point = ctx(&[(0.3, 0.7)]);
-        assert_eq!(planner.choose(10_000, &point), Algorithm::B2s2);
-    }
-
-    #[test]
-    fn proper_hulls_use_voronoi() {
-        let planner = Planner::new(None);
-        let c = ctx(&[(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, 0.4)]);
-        assert_eq!(planner.choose(10_000, &c), Algorithm::Vs2);
+        let shapes = [
+            // A single query point.
+            ctx(&[(0.3, 0.7)]),
+            // Collinear query points: the hull is a segment, 2 anchors.
+            ctx(&[(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]),
+            // A proper hull with an interior point.
+            ctx(&[(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, 0.4)]),
+        ];
+        for c in &shapes {
+            assert_eq!(planner.choose(10_000, c), Algorithm::B2s2);
+            assert_eq!(planner.choose_for_len(10_000), planner.choose(10_000, c));
+        }
     }
 
     #[test]
@@ -180,6 +185,9 @@ mod tests {
         let c = ctx(&[(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)]);
         assert_eq!(planner.choose(3, &c), Algorithm::Bbs);
         assert_eq!(planner.choose(1_000_000, &c), Algorithm::Bbs);
+        assert_eq!(planner.choose_for_len(1_000_000), Algorithm::Bbs);
+        let vs2 = Planner::new(Some(Algorithm::Vs2));
+        assert_eq!(vs2.choose(1_000_000, &c), Algorithm::Vs2);
     }
 
     #[test]

@@ -43,21 +43,24 @@ SSQ_FORCE_SCALAR=1 cargo test --workspace -q
 echo "==> cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+# The four bench smokes below write their JSON under target/bench-smoke/,
+# so a CI pass never overwrites the committed full-scale BENCH_*.json
+# files in the repository root.
 echo "==> bench smoke (kernel hot path; fails on panics or non-finite numbers)"
 cargo run --release -p ssq-bench --bin throughput_scaling -- --smoke
-test -s BENCH_hotpath.json
+test -s target/bench-smoke/BENCH_hotpath.json
 
 echo "==> diagram smoke (hit vs planner latency; fails on misses or non-finite numbers)"
 cargo run --release -p ssq-bench --bin diagram_bench -- --smoke
-test -s BENCH_DIAGRAM.json
+test -s target/bench-smoke/BENCH_DIAGRAM.json
 
 echo "==> net soak smoke (loopback server, 8 connections x 16 pipeline)"
 cargo run --release -p ssq-bench --bin net_soak -- --smoke
-test -s BENCH_net.json
+test -s target/bench-smoke/BENCH_net.json
 
 echo "==> ingest soak smoke (delta publish >= 10x cheaper than full rebuild on 100k points)"
 cargo run --release -p ssq-bench --bin ingest_soak -- --smoke
-test -s BENCH_INGEST.json
+test -s target/bench-smoke/BENCH_INGEST.json
 
 echo "==> net serve smoke (real ssq binary, ephemeral port, clean shutdown)"
 # ssq-analyze already covers crates/net (no-panic gate) in the first
